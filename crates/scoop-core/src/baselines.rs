@@ -68,34 +68,42 @@ impl<'a> AnalyticalModel<'a> {
         AnalyticalModel { topo }
     }
 
-    fn hops(&self, a: NodeId, b: NodeId) -> f64 {
-        self.topo.hop_distance(a, b).unwrap_or(0) as f64
+    /// Hop distance from `src` to every node as `f64`, unreachable nodes
+    /// counting 0 (one BFS).
+    fn hops_from(&self, src: NodeId) -> Vec<f64> {
+        self.topo
+            .hops_from(src)
+            .into_iter()
+            .map(|d| if d == u32::MAX { 0.0 } else { d as f64 })
+            .collect()
+    }
+
+    /// Each sensor's hop distance to the basestation, in sensor order.
+    fn sensor_depths(&self) -> Vec<f64> {
+        let mut hops = self.hops_from(NodeId::BASESTATION);
+        hops.remove(NodeId::BASESTATION.index());
+        hops
     }
 
     /// Mean hop distance from a sensor to the basestation.
     pub fn mean_hops_to_base(&self) -> f64 {
-        let sensors: Vec<NodeId> = self.topo.sensors().collect();
-        if sensors.is_empty() {
+        let depths = self.sensor_depths();
+        if depths.is_empty() {
             return 0.0;
         }
-        sensors
-            .iter()
-            .map(|&s| self.hops(s, NodeId::BASESTATION))
-            .sum::<f64>()
-            / sensors.len() as f64
+        depths.iter().sum::<f64>() / depths.len() as f64
     }
 
     /// Mean hop distance between two arbitrary distinct nodes — the expected
     /// cost of shipping a reading to a uniformly random owner, i.e. "roughly
     /// halfway across the network" (Section 6).
     pub fn mean_pairwise_hops(&self) -> f64 {
-        let nodes: Vec<NodeId> = self.topo.nodes().collect();
         let mut total = 0.0;
         let mut count = 0usize;
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b {
-                    total += self.hops(a, b);
+        for a in self.topo.nodes() {
+            for (b, hops) in self.hops_from(a).into_iter().enumerate() {
+                if b != a.index() {
+                    total += hops;
                     count += 1;
                 }
             }
@@ -111,9 +119,9 @@ impl<'a> AnalyticalModel<'a> {
     /// producer's depth; queries are answered at the basestation for free.
     pub fn base(&self, readings_per_sensor: u64) -> AnalyticalCosts {
         let data: f64 = self
-            .topo
-            .sensors()
-            .map(|s| self.hops(s, NodeId::BASESTATION) * readings_per_sensor as f64)
+            .sensor_depths()
+            .into_iter()
+            .map(|hops| hops * readings_per_sensor as f64)
             .sum();
         AnalyticalCosts {
             data,
@@ -127,11 +135,7 @@ impl<'a> AnalyticalModel<'a> {
     /// node replies up the tree.
     pub fn local(&self, num_queries: u64) -> AnalyticalCosts {
         let n = self.topo.num_sensors() as f64;
-        let reply_per_query: f64 = self
-            .topo
-            .sensors()
-            .map(|s| self.hops(s, NodeId::BASESTATION))
-            .sum();
+        let reply_per_query: f64 = self.sensor_depths().into_iter().sum();
         AnalyticalCosts {
             data: 0.0,
             query: num_queries as f64 * n,
@@ -151,13 +155,12 @@ impl<'a> AnalyticalModel<'a> {
     ) -> AnalyticalCosts {
         let n_sensors = self.topo.num_sensors() as f64;
         let data = n_sensors * readings_per_sensor as f64 * self.mean_pairwise_hops();
-        let per_owner_roundtrip = 2.0 * self.mean_hops_to_base();
+        let to_base = self.mean_hops_to_base();
+        let per_owner_roundtrip = 2.0 * to_base;
         AnalyticalCosts {
             data,
-            query: num_queries as f64 * owners_per_query * self.mean_hops_to_base(),
-            reply: num_queries as f64
-                * owners_per_query
-                * (per_owner_roundtrip - self.mean_hops_to_base()),
+            query: num_queries as f64 * owners_per_query * to_base,
+            reply: num_queries as f64 * owners_per_query * (per_owner_roundtrip - to_base),
         }
     }
 }
@@ -239,5 +242,30 @@ mod tests {
         let mean = m.mean_pairwise_hops();
         assert!(mean > 1.0);
         assert!(mean <= t.network_depth() as f64 * 2.0);
+    }
+
+    #[test]
+    fn hop_means_equal_the_per_pair_bfs_sums_exactly() {
+        // One BFS per source must reproduce the per-pair `hop_distance`
+        // sums bit for bit: same terms, same summation order.
+        let t = topo();
+        let m = AnalyticalModel::new(&t);
+        let hops = |a, b| t.hop_distance(a, b).unwrap_or(0) as f64;
+        let to_base: Vec<f64> = t.sensors().map(|s| hops(s, NodeId::BASESTATION)).collect();
+        assert_eq!(
+            m.mean_hops_to_base(),
+            to_base.iter().sum::<f64>() / to_base.len() as f64
+        );
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for a in t.nodes() {
+            for b in t.nodes().filter(|&b| b != a) {
+                total += hops(a, b);
+                count += 1;
+            }
+        }
+        assert_eq!(m.mean_pairwise_hops(), total / count as f64);
+        assert_eq!(m.base(7).data, to_base.iter().map(|h| h * 7.0).sum::<f64>());
+        assert_eq!(m.local(3).reply, 3.0 * to_base.iter().sum::<f64>());
     }
 }

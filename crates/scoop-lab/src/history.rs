@@ -10,8 +10,14 @@
 use crate::artifact::Artifact;
 use scoop_types::ScoopError;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
+
+/// Experiments shorter than this in the baseline record are gated only
+/// through the run total: scheduler jitter of a few milliseconds is a large
+/// fraction of them, and would fail the per-experiment gate at random.
+const MIN_GATED_EXPERIMENT_SECS: f64 = 0.2;
 
 /// One experiment's timing within a history record.
 ///
@@ -197,6 +203,14 @@ impl HistoryRecord {
         }
     }
 
+    /// The ids of the experiments this record ran.
+    fn experiment_ids(&self) -> BTreeSet<&str> {
+        self.experiments
+            .iter()
+            .map(|e| e.experiment.as_str())
+            .collect()
+    }
+
     /// Aggregate events per second over the whole run.
     pub fn events_per_sec(&self) -> f64 {
         if self.total_wall_clock_secs > 0.0 {
@@ -237,9 +251,10 @@ pub fn load_history(path: &Path) -> Result<Vec<HistoryRecord>, ScoopError> {
 }
 
 /// The latest history record measured against the most recent *comparable*
-/// earlier one (same scale, trials, sweep threads, and experiment count — a
+/// earlier one (same scale, trials, sweep threads, and experiment id set — a
 /// quick CI run must never be judged against a committed paper-scale run,
-/// nor a 4-thread run against a 1-thread wall clock).
+/// a 4-thread run against a 1-thread wall clock, nor a suite that gained or
+/// swapped an experiment against one without it).
 #[derive(Clone, Debug)]
 pub struct HistoryDelta {
     /// The newest record (this commit's run).
@@ -260,7 +275,7 @@ impl HistoryDelta {
                 r.scale == latest.scale
                     && r.trials == latest.trials
                     && r.threads == latest.threads
-                    && r.experiments.len() == latest.experiments.len()
+                    && r.experiment_ids() == latest.experiment_ids()
                     // Serving records additionally match on workload size, so
                     // a smoke-sized serve run is never judged against the
                     // million-query bench (0 == 0 keeps every older record
@@ -281,6 +296,33 @@ impl HistoryDelta {
         Some(self.latest.total_wall_clock_secs / previous.total_wall_clock_secs)
     }
 
+    /// Per-experiment wall-clock ratios `latest / previous` (`> 1` is a
+    /// slowdown), in the latest record's order, for every experiment both
+    /// records ran that took at least `MIN_GATED_EXPERIMENT_SECS` (0.2 s)
+    /// in the previous one.
+    pub fn experiment_ratios(&self) -> Vec<(&str, f64)> {
+        let Some(previous) = self.previous.as_ref() else {
+            return Vec::new();
+        };
+        self.latest
+            .experiments
+            .iter()
+            .filter_map(|e| {
+                let before = previous
+                    .experiments
+                    .iter()
+                    .find(|p| p.experiment == e.experiment)?;
+                (before.wall_clock_secs >= MIN_GATED_EXPERIMENT_SECS && e.wall_clock_secs > 0.0)
+                    .then(|| {
+                        (
+                            e.experiment.as_str(),
+                            e.wall_clock_secs / before.wall_clock_secs,
+                        )
+                    })
+            })
+            .collect()
+    }
+
     /// Tail-latency ratio `latest / previous` of served-request p99
     /// (`> 1` is a slowdown), if both records are serve records with
     /// positive p99s.
@@ -293,12 +335,15 @@ impl HistoryDelta {
     }
 
     /// Whether the latest run regressed by more than `max_regression`
-    /// (e.g. `0.25` fails anything over 1.25× the previous wall clock).
-    /// Serve records are additionally gated on p99 latency — a serving-tier
-    /// tail-latency regression fails even when total wall clock hides it.
+    /// (e.g. `0.25` fails anything over 1.25× the previous wall clock),
+    /// in total or in any one gated experiment — a 2× slowdown of one
+    /// experiment fails even when the others hide it in the total. Serve
+    /// records are additionally gated on p99 latency.
     pub fn regressed(&self, max_regression: f64) -> bool {
-        let over = |ratio: Option<f64>| matches!(ratio, Some(r) if r > 1.0 + max_regression);
-        over(self.wall_clock_ratio()) || over(self.serve_p99_ratio())
+        let over = |ratio: f64| ratio > 1.0 + max_regression;
+        self.wall_clock_ratio().is_some_and(over)
+            || self.serve_p99_ratio().is_some_and(over)
+            || self.experiment_ratios().into_iter().any(|(_, r)| over(r))
     }
 
     /// Human-readable summary: per-experiment wall clock and events/sec of
@@ -339,11 +384,24 @@ impl HistoryDelta {
                 latest.store_disk_bytes
             ));
         }
+        let ratios = self.experiment_ratios();
         for e in &latest.experiments {
             out.push_str(&format!(
-                "  {:<18} {:>7.2} s  {:>10} events  {:>10.0} events/s\n",
+                "  {:<18} {:>7.2} s  {:>10} events  {:>10.0} events/s",
                 e.experiment, e.wall_clock_secs, e.events_processed, e.events_per_sec
             ));
+            if let Some((_, ratio)) = ratios.iter().find(|(id, _)| *id == e.experiment) {
+                out.push_str(&format!(
+                    "  {:+.1} %{}",
+                    (ratio - 1.0) * 100.0,
+                    if *ratio > 1.0 + max_regression {
+                        "  REGRESSION"
+                    } else {
+                        ""
+                    }
+                ));
+            }
+            out.push('\n');
         }
         match (&self.previous, self.wall_clock_ratio()) {
             (Some(previous), Some(ratio)) => {
@@ -371,7 +429,7 @@ impl HistoryDelta {
                 }
             }
             _ => out.push_str(
-                "no comparable previous record (same scale/trials/threads/experiments) — \
+                "no comparable previous record (same scale/trials/threads/experiment ids) — \
                  nothing to gate against\n",
             ),
         }
@@ -468,6 +526,60 @@ mod tests {
         assert!(!delta.regressed(0.0), "no baseline, nothing to fail");
         assert!(delta.render_text(0.25).contains("no comparable previous"));
         assert!(HistoryDelta::from_records(&[]).is_none());
+    }
+
+    #[test]
+    fn delta_requires_the_same_experiment_ids() {
+        // Same count, one experiment swapped: not comparable. The older
+        // record with the same ids is found instead.
+        let mut swapped = record("quick", 1, 2.0, 2);
+        swapped.experiments[1].experiment = "exp-new".to_string();
+        let records = vec![
+            record("quick", 1, 3.0, 2),
+            swapped,
+            record("quick", 1, 2.0, 2),
+        ];
+        let delta = HistoryDelta::from_records(&records).unwrap();
+        assert_eq!(delta.previous.as_ref().unwrap().total_wall_clock_secs, 3.0);
+
+        // A suite that gained an experiment has no baseline yet.
+        let records = vec![record("quick", 1, 2.0, 2), record("quick", 1, 2.0, 3)];
+        assert!(HistoryDelta::from_records(&records)
+            .unwrap()
+            .previous
+            .is_none());
+    }
+
+    #[test]
+    fn one_experiment_twice_as_slow_fails_the_gate() {
+        // Five 2 s experiments; doubling one moves the total only +20 %,
+        // under the 25 % bound, but that experiment alone is +100 %.
+        let baseline = record("quick", 1, 10.0, 5);
+        let identical = vec![baseline.clone(), baseline.clone()];
+        let delta = HistoryDelta::from_records(&identical).unwrap();
+        assert!(!delta.regressed(0.25));
+        assert_eq!(delta.experiment_ratios().len(), 5);
+
+        let mut slow = baseline.clone();
+        slow.experiments[2].wall_clock_secs *= 2.0;
+        slow.total_wall_clock_secs = slow.experiments.iter().map(|e| e.wall_clock_secs).sum();
+        let delta = HistoryDelta::from_records(&[baseline, slow]).unwrap();
+        let total = delta.wall_clock_ratio().unwrap();
+        assert!((total - 1.2).abs() < 1e-9, "{total}");
+        assert!(delta.regressed(0.25), "per-experiment gate must fire");
+        let text = delta.render_text(0.25);
+        assert!(text.contains("+100.0 %  REGRESSION"), "{text}");
+    }
+
+    #[test]
+    fn experiments_under_the_floor_are_gated_only_through_the_total() {
+        // 0.05 s experiments jitter by tens of percent on a shared runner.
+        let baseline = record("chaos", 1, 0.15, 3);
+        let mut jittery = baseline.clone();
+        jittery.experiments[0].wall_clock_secs *= 2.0;
+        let delta = HistoryDelta::from_records(&[baseline, jittery]).unwrap();
+        assert!(delta.experiment_ratios().is_empty());
+        assert!(!delta.regressed(0.25));
     }
 
     #[test]

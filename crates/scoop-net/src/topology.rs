@@ -363,45 +363,50 @@ impl Topology {
         total as f64 / (self.len() as f64 * (self.len() - 1) as f64)
     }
 
+    /// Hop distance from `src` to every node over radio-range connectivity,
+    /// ignoring loss: one BFS, indexed by node id. Unreachable nodes — and
+    /// every node, if `src` is not in the topology — are `u32::MAX`.
+    pub fn hops_from(&self, src: NodeId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.len()];
+        if src.index() >= self.len() {
+            return dist;
+        }
+        dist[src.index()] = 0;
+        let mut q = VecDeque::from([src]);
+        while let Some(n) = q.pop_front() {
+            let d = dist[n.index()] + 1;
+            for &m in self.neighbors(n) {
+                if dist[m.index()] == u32::MAX {
+                    dist[m.index()] = d;
+                    q.push_back(m);
+                }
+            }
+        }
+        dist
+    }
+
     /// Hop distance between two nodes using radio-range connectivity (BFS),
     /// ignoring loss. Returns `None` if they are not connected at all.
     pub fn hop_distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
         if from == to {
             return Some(0);
         }
-        if self.position(from).is_none() || self.position(to).is_none() {
-            return None;
-        }
-        let mut dist = vec![u32::MAX; self.len()];
-        dist[from.index()] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(from);
-        while let Some(n) = q.pop_front() {
-            let d = dist[n.index()];
-            for &m in self.neighbors(n) {
-                if dist[m.index()] == u32::MAX {
-                    dist[m.index()] = d + 1;
-                    if m == to {
-                        return Some(d + 1);
-                    }
-                    q.push_back(m);
-                }
-            }
-        }
-        None
+        let d = *self.hops_from(from).get(to.index())?;
+        (d != u32::MAX).then_some(d)
     }
 
     /// Returns `true` if every node can reach the basestation over radio-range
     /// links (ignoring loss).
     pub fn is_connected(&self) -> bool {
-        self.nodes()
-            .all(|n| self.hop_distance(NodeId::BASESTATION, n).is_some())
+        !self.hops_from(NodeId::BASESTATION).contains(&u32::MAX)
     }
 
-    /// The largest hop distance from the basestation to any node.
+    /// The largest hop distance from the basestation to any node it can
+    /// reach.
     pub fn network_depth(&self) -> u32 {
-        self.nodes()
-            .filter_map(|n| self.hop_distance(NodeId::BASESTATION, n))
+        self.hops_from(NodeId::BASESTATION)
+            .into_iter()
+            .filter(|&d| d != u32::MAX)
             .max()
             .unwrap_or(0)
     }

@@ -3,7 +3,9 @@
 //! seed.
 
 use proptest::prelude::*;
-use scoop_net::{FaultSchedule, LinkModel, Neighbor, StdTopologyGen, Topology, TopologyGen};
+use scoop_net::{
+    FaultSchedule, LinkModel, Neighbor, NodePosition, StdTopologyGen, Topology, TopologyGen,
+};
 use scoop_types::{LinkSpec, NodeId, ScoopError, SimTime, TopologyKind, TopologySpec};
 
 proptest! {
@@ -324,6 +326,124 @@ proptest! {
             }
         }
     }
+}
+
+/// The naive oracle the single-BFS primitive replaced: a fresh
+/// level-by-level BFS from `from`, stopping as soon as it reaches `to`.
+fn oracle_hops(topo: &Topology, from: NodeId, to: NodeId) -> Option<u32> {
+    let mut seen = vec![false; topo.len()];
+    seen[from.index()] = true;
+    let mut frontier = vec![from];
+    let mut depth = 0;
+    while !frontier.is_empty() {
+        if frontier.contains(&to) {
+            return Some(depth);
+        }
+        let mut next = Vec::new();
+        for n in frontier {
+            for &m in topo.neighbors(n) {
+                if !seen[m.index()] {
+                    seen[m.index()] = true;
+                    next.push(m);
+                }
+            }
+        }
+        frontier = next;
+        depth += 1;
+    }
+    None
+}
+
+/// Checks `hops_from`, `hop_distance`, `is_connected` and `network_depth`
+/// against one oracle BFS per ordered pair.
+fn assert_matches_oracle(topo: &Topology) {
+    let oracle_base: Vec<Option<u32>> = topo
+        .nodes()
+        .map(|n| oracle_hops(topo, NodeId::BASESTATION, n))
+        .collect();
+    assert_eq!(
+        topo.is_connected(),
+        oracle_base.iter().all(Option::is_some),
+        "{:?} with {} nodes",
+        topo.kind(),
+        topo.len()
+    );
+    assert_eq!(
+        topo.network_depth(),
+        oracle_base.iter().flatten().copied().max().unwrap_or(0),
+        "depth counts reachable nodes only"
+    );
+    for a in topo.nodes() {
+        let hops = topo.hops_from(a);
+        assert_eq!(hops.len(), topo.len());
+        for b in topo.nodes() {
+            let oracle = oracle_hops(topo, a, b);
+            assert_eq!(hops[b.index()], oracle.unwrap_or(u32::MAX), "{a} -> {b}");
+            assert_eq!(topo.hop_distance(a, b), oracle, "{a} -> {b}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every placement family, thinned or thickened until some instances
+    /// fall apart, agrees with the per-pair oracle on connectivity, depth
+    /// and every pairwise hop count.
+    #[test]
+    fn hop_queries_match_the_per_pair_bfs_oracle(
+        kind_index in 0usize..TopologyKind::ALL.len(),
+        nodes in 2usize..60,
+        seed in 0u64..500,
+        range_factor in 0.3f64..1.6,
+    ) {
+        let spec = TopologySpec {
+            kind: TopologyKind::ALL[kind_index],
+            range_factor,
+            ..TopologySpec::office_floor()
+        };
+        assert_matches_oracle(&Topology::from_spec(&spec, nodes, seed).expect("within limits"));
+    }
+}
+
+/// Hand-built disconnected layouts: the oracle agrees, and depth ignores
+/// nodes the basestation cannot reach even when they sit deeper than
+/// everything it can.
+#[test]
+fn disconnected_layouts_match_the_oracle() {
+    let build = |xs: &[f64]| {
+        let positions = xs.iter().map(|&x| NodePosition { x, y: 0.0 }).collect();
+        Topology::from_positions(TopologyKind::Linear, positions, 10.0).expect("layout")
+    };
+    // Two islands: the basestation's has depth 2; the far one is a deeper
+    // five-node chain.
+    let islands = build(&[0.0, 10.0, 20.0, 100.0, 110.0, 120.0, 130.0, 140.0]);
+    // One isolated sensor beyond a three-hop chain.
+    let lone_sensor = build(&[0.0, 10.0, 20.0, 30.0, 500.0]);
+    // An isolated basestation next to a connected sensor chain.
+    let lone_base = build(&[-500.0, 0.0, 10.0, 20.0]);
+    for (topo, depth) in [(&islands, 2), (&lone_sensor, 3), (&lone_base, 0)] {
+        assert!(!topo.is_connected());
+        assert_eq!(topo.network_depth(), depth);
+        assert_matches_oracle(topo);
+    }
+    assert_eq!(islands.hop_distance(NodeId(3), NodeId(7)), Some(4));
+    assert_eq!(islands.hops_from(NodeId::BASESTATION)[3], u32::MAX);
+    assert_eq!(lone_base.hop_distance(NodeId(1), NodeId(3)), Some(2));
+    assert_eq!(lone_sensor.hops_from(NodeId(99)), vec![u32::MAX; 5]);
+}
+
+/// The connectivity check behind range escalation is one BFS, so the
+/// largest supported grid generates quickly even in a debug build; a check
+/// quadratic in the node count would take minutes here.
+#[test]
+fn max_size_grid_generates_connected_in_one_pass() {
+    let topo = StdTopologyGen
+        .generate(&TopologySpec::grid(), 32_767, 1)
+        .expect("within limits");
+    assert_eq!(topo.len(), 32_768);
+    assert!(topo.is_connected());
+    assert!(topo.network_depth() > 0);
 }
 
 /// Adversarial *invalid* LinkSpec values — NaN, negative, infinite, or
