@@ -34,6 +34,17 @@ pub const CALIBRATION_SCHEMA_VERSION: u32 = 1;
 /// File name of the calibration artifact inside the results directory.
 pub const CALIBRATION_FILE: &str = "calibration.json";
 
+/// The pre-calibration distance-decay knobs: linear decay from 78 %
+/// delivery at distance 0 to 10 % at the range edge. They anchor both
+/// grids, so the committed evidence keeps showing what the flip to the
+/// calibrated default bought.
+const PRE_CALIBRATION: CalibrationPoint = CalibrationPoint {
+    loss_floor: 0.22,
+    edge_delivery: 0.10,
+    distance_exponent: 1.0,
+    asymmetry_noise: 0.06,
+};
+
 /// One candidate setting of the four `LinkSpec` calibration knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationPoint {
@@ -310,13 +321,13 @@ pub fn default_grid() -> Vec<CalibrationPoint> {
     grid
 }
 
-/// A three-point grid for `calibrate --smoke`: the legacy knobs, the
+/// A three-point grid for `calibrate --smoke`: the pre-calibration knobs, the
 /// calibrated knobs, and one intermediate point — enough to exercise the
 /// whole calibrate path (grid run, scoring, artifact serialization) in a CI
 /// step without paper-scale cost.
 pub fn smoke_grid() -> Vec<CalibrationPoint> {
     vec![
-        CalibrationPoint::from_spec(&LinkSpec::legacy()),
+        PRE_CALIBRATION,
         CalibrationPoint {
             loss_floor: 0.05,
             edge_delivery: 0.10,
@@ -538,7 +549,7 @@ mod tests {
     fn default_grid_covers_every_knob_and_anchors_legacy_and_calibrated() {
         let grid = default_grid();
         assert_eq!(grid.len(), 24);
-        let legacy = CalibrationPoint::from_spec(&LinkSpec::legacy());
+        let legacy = PRE_CALIBRATION;
         let calibrated = CalibrationPoint::from_spec(&LinkSpec::calibrated());
         assert!(
             grid.iter().any(|p| p.same_knobs(&legacy)),

@@ -15,8 +15,7 @@
 //! artifacts; `diff` classifies the stored artifacts against the paper
 //! baselines; `check` is the CI regression gate against the committed smoke
 //! baseline; `trace` is the step-by-step diagnostic previously shipped as a
-//! separate `scoop-sim` binary. [`run_cli`] is public so
-//! `examples/reproduce.rs` can stay a thin wrapper over the same code path.
+//! separate `scoop-sim` binary.
 
 use crate::artifact::ArtifactStore;
 use crate::baselines::{paper_baseline, TolerancePreset};
@@ -132,8 +131,7 @@ fn parse_set(payload: &str) -> Result<(String, String), String> {
     Ok((key.trim().to_string(), value.trim().to_string()))
 }
 
-/// Entry point shared by the binary and `examples/reproduce.rs`. Returns the
-/// process exit code.
+/// Entry point of the `scoop-lab` binary. Returns the process exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     match dispatch(args) {
         Ok(code) => code,
@@ -237,7 +235,7 @@ fn cmd_run(args: &[String]) -> Result<i32, String> {
     .map_err(|e| e.to_string())?;
 
     if json {
-        // The historical `reproduce --json` format: one bare JSON array per
+        // The historical `run --json` format: one bare JSON array per
         // experiment. A serialization failure fails the whole command.
         for artifact in &artifacts {
             println!("{}", artifact.rows.rows_json().map_err(|e| e.to_string())?);
@@ -459,22 +457,17 @@ fn cmd_history(args: &[String]) -> Result<i32, String> {
 /// with the standard Figure 3-style breakdown table.
 fn cmd_trace(args: &[String]) -> Result<i32, String> {
     let (positional, _, _) = parse(args, &[], &[])?;
+    let axes = ["policy", "source", "nodes"];
+    if let Some(extra) = positional.get(axes.len()) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    // Positional arguments go through the axis registry, so a typo exits 2
+    // naming the values the axis accepts.
     let mut cfg = ExperimentConfig::small_test();
-    cfg.policy.kind = match positional.first().map(String::as_str) {
-        Some("local") => StoragePolicy::Local,
-        Some("base") => StoragePolicy::Base,
-        Some("hash") => StoragePolicy::Hash,
-        _ => StoragePolicy::Scoop,
-    };
-    cfg.workload.data_source = match positional.get(1).map(String::as_str) {
-        Some("unique") => DataSourceKind::Unique,
-        Some("equal") => DataSourceKind::Equal,
-        Some("random") => DataSourceKind::Random,
-        Some("gaussian") => DataSourceKind::Gaussian,
-        _ => DataSourceKind::Real,
-    };
-    if let Some(n) = positional.get(2).and_then(|s| s.parse().ok()) {
-        cfg.num_nodes = n;
+    cfg.policy.kind = StoragePolicy::Scoop;
+    cfg.workload.data_source = DataSourceKind::Real;
+    for (axis, value) in axes.into_iter().zip(&positional) {
+        cfg.set_axis(axis, value).map_err(|e| e.to_string())?;
     }
 
     let mut engine = scoop_sim::build_engine(&cfg).map_err(|e| e.to_string())?;

@@ -28,8 +28,7 @@
 //!   committed baseline file.
 //! * [`history`] — per-commit wall-clock records (`BENCH_history.jsonl`).
 //! * [`cli`] — the `scoop-lab` binary's `run | report | diff | check |
-//!   calibrate | history | trace` subcommands (also driven by
-//!   `examples/reproduce.rs`).
+//!   calibrate | history | trace` subcommands.
 
 #![warn(missing_docs)]
 

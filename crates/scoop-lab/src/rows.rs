@@ -108,7 +108,7 @@ impl RowSet {
     }
 
     /// Renders the bare rows as a pretty JSON *array* (the machine-readable
-    /// format `reproduce --json` has always printed), without the enum tag
+    /// format `run --json` has always printed), without the enum tag
     /// that [`serde::Serialize`] adds for artifact files.
     pub fn rows_json(&self) -> Result<String, scoop_types::ScoopError> {
         match self {

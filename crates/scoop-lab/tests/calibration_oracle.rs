@@ -115,7 +115,13 @@ fn legacy_point_is_in_the_committed_grid_and_loses() {
     // strictly worse than the winner.
     let artifact = load_calibration(&committed_calibration_path())
         .expect("committed results/calibration.json loads");
-    let legacy = CalibrationPoint::from_spec(&LinkSpec::legacy());
+    // The pre-calibration knobs, pinned as a literal.
+    let legacy = CalibrationPoint {
+        loss_floor: 0.22,
+        edge_delivery: 0.10,
+        distance_exponent: 1.0,
+        asymmetry_noise: 0.06,
+    };
     let legacy_row = artifact
         .rows
         .iter()

@@ -140,3 +140,29 @@ fn check_exit_codes_track_baseline_perturbation() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `scoop-lab trace` parses its positional arguments through the axis
+/// registry: an unknown policy or source, a non-numeric node count or a
+/// fourth argument exits 2 naming what was expected, before any simulation
+/// runs.
+#[test]
+fn trace_rejects_bad_arguments_with_the_axis_vocabulary() {
+    for (args, expected) in [
+        (&["ghost", "real", "10"][..], "scoop|local|base|hash"),
+        (
+            &["scoop", "nowhere"][..],
+            "real|unique|equal|random|gaussian",
+        ),
+        (&["scoop", "real", "many"][..], "a node count"),
+        (&["scoop", "real", "10", "extra"][..], "unexpected argument"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scoop-lab"))
+            .arg("trace")
+            .args(args)
+            .output()
+            .expect("scoop-lab runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "trace {args:?}: {stderr}");
+        assert!(stderr.contains(expected), "trace {args:?}: {stderr}");
+    }
+}

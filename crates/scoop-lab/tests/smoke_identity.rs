@@ -4,10 +4,7 @@
 //! `--bless`.
 //!
 //! The committed baseline pins the *calibrated* link-model defaults (the
-//! link-calibration re-baseline was a deliberate `--bless`). The
-//! byte-identity proof for the pre-calibration engine lives on in
-//! `spec_equivalence.rs`, which replays the suite under the `link=legacy`
-//! preset against the preserved `baselines/smoke-legacy.json`.
+//! link-calibration re-baseline was a deliberate `--bless`).
 
 use scoop_lab::check::{baseline_file_content, run_smoke_suite};
 use std::path::PathBuf;

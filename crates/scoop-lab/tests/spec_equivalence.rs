@@ -1,15 +1,8 @@
-//! Equivalence proof for the ScenarioSpec redesign, kept alive across the
-//! link-model calibration: building an engine through `SimBuilder` from a
-//! spec with the **legacy** link model produces byte-identical artifacts to
-//! the pre-redesign construction path (`Topology::office_floor` +
-//! `LinkModel::from_topology` welded into the runner), which survives as
-//! explicit hand construction through `build_engine_with` — and the whole
-//! quick-smoke suite under `link=legacy` reproduces the committed
-//! pre-calibration baseline (`baselines/smoke-legacy.json`) byte for byte.
-//!
-//! `LinkSpec::default()` is the *calibrated* model since the calibration
-//! re-baseline; `LinkSpec::legacy()` (and the `link=legacy` axis preset) is
-//! the addressable handle to the historical behavior these proofs pin.
+//! Equivalence proof for the ScenarioSpec redesign: building an engine
+//! through `SimBuilder` from a spec produces byte-identical artifacts to
+//! explicit hand construction (`Topology::office_floor` plus
+//! `LinkModel::from_spec` on the shipped calibrated `LinkSpec::default()`,
+//! passed to `build_engine_with`).
 
 use scoop_lab::artifact::{Artifact, Provenance};
 use scoop_lab::rows::RowSet;
@@ -19,14 +12,19 @@ use scoop_sim::experiments::Fig3Row;
 use scoop_sim::{
     build_engine_with, run_built_experiment, run_experiment, MessageBreakdown, RunResult,
 };
-use scoop_types::{ExperimentConfig, ScenarioSpec};
+use scoop_types::{ExperimentConfig, LinkSpec, ScenarioSpec};
 
-/// Replays the pre-redesign `build_engine` body: the office-floor topology
-/// and the default distance-decay link model, constructed directly and
-/// measured through the shared runner.
-fn legacy_run(config: &ExperimentConfig) -> RunResult {
+/// Builds the engine by hand — the office-floor topology and the calibrated
+/// distance-decay link model, constructed directly — and measures it
+/// through the shared runner.
+fn hand_built_run(config: &ExperimentConfig) -> RunResult {
+    assert_eq!(
+        config.link,
+        LinkSpec::default(),
+        "hand construction pins the default link model"
+    );
     let topology = Topology::office_floor(config.num_nodes, config.seed).unwrap();
-    let links = LinkModel::from_topology(&topology, config.seed);
+    let links = LinkModel::from_spec(&LinkSpec::default(), &topology, config.seed).unwrap();
     let engine = build_engine_with(config, topology, links).unwrap();
     run_built_experiment(config, engine).unwrap()
 }
@@ -49,24 +47,23 @@ fn artifact_for(result: &RunResult) -> Artifact {
 }
 
 #[test]
-fn legacy_link_spec_path_is_byte_identical_to_legacy_construction() {
-    let mut spec = ScenarioSpec::paper_defaults();
-    spec.link = scoop_types::LinkSpec::legacy();
-    let legacy = legacy_run(&spec);
+fn default_spec_path_is_byte_identical_to_hand_construction() {
+    let spec = ScenarioSpec::paper_defaults();
+    let by_hand = hand_built_run(&spec);
     let through_spec = run_experiment(&spec).unwrap();
 
     // Full metric equality first (clearer failure than a JSON diff)...
-    assert_eq!(legacy.messages, through_spec.messages);
-    assert_eq!(legacy.storage, through_spec.storage);
-    assert_eq!(legacy.queries, through_spec.queries);
-    assert_eq!(legacy.per_node_tx, through_spec.per_node_tx);
-    assert_eq!(legacy.per_node_rx, through_spec.per_node_rx);
+    assert_eq!(by_hand.messages, through_spec.messages);
+    assert_eq!(by_hand.storage, through_spec.storage);
+    assert_eq!(by_hand.queries, through_spec.queries);
+    assert_eq!(by_hand.per_node_tx, through_spec.per_node_tx);
+    assert_eq!(by_hand.per_node_rx, through_spec.per_node_rx);
 
     // ...then the artifact bytes, the unit committed results are stored in.
     assert_eq!(
-        artifact_for(&legacy).to_json().unwrap(),
+        artifact_for(&by_hand).to_json().unwrap(),
         artifact_for(&through_spec).to_json().unwrap(),
-        "spec-built and legacy-built artifacts must serialize identically"
+        "spec-built and hand-built artifacts must serialize identically"
     );
 }
 
@@ -74,58 +71,16 @@ fn legacy_link_spec_path_is_byte_identical_to_legacy_construction() {
 fn small_test_spec_path_is_byte_identical_across_policies() {
     for policy in scoop_types::StoragePolicy::ALL {
         let mut spec = ScenarioSpec::small_test();
-        spec.link = scoop_types::LinkSpec::legacy();
         spec.policy.kind = policy;
         spec.workload.data_source = scoop_types::DataSourceKind::Gaussian;
-        let legacy = legacy_run(&spec);
+        let by_hand = hand_built_run(&spec);
         let through_spec = run_experiment(&spec).unwrap();
         assert_eq!(
-            artifact_for(&legacy).to_json().unwrap(),
+            artifact_for(&by_hand).to_json().unwrap(),
             artifact_for(&through_spec).to_json().unwrap(),
-            "{policy}: spec path drifted from legacy construction"
+            "{policy}: spec path drifted from hand construction"
         );
     }
-}
-
-/// The calibration re-baseline flipped `LinkSpec::default()`, so the
-/// committed `baselines/smoke.json` now pins the *calibrated* behavior. This
-/// test keeps the pre-calibration byte-identity proofs alive: the quick-smoke
-/// suite run under the `link=legacy` axis preset must reproduce the
-/// pre-calibration baseline (`baselines/smoke-legacy.json`, the verbatim
-/// smoke.json from before the flip) byte for byte — same config hash, same
-/// rows, same serialization — once the parts that *name* the run differently
-/// (the overrides list, the masked provenance) are normalized away.
-#[test]
-fn legacy_link_preset_reproduces_the_pre_calibration_smoke_baseline() {
-    use scoop_lab::artifact::Provenance;
-    use scoop_lab::check::baseline_file_content;
-    use scoop_lab::suite::run_suite;
-
-    let mut options = SuiteOptions::quick_smoke();
-    options.overrides.push(("link".into(), "legacy".into()));
-    let mut artifacts = run_suite(&options, |_| ()).expect("legacy smoke suite runs");
-    for artifact in &mut artifacts {
-        artifact.provenance = Provenance::masked();
-        // The committed pre-calibration baseline was a no-override run; the
-        // `link=legacy` preset resolves to the *same* base config (the same
-        // config_hash proves it), so only the recorded override list differs.
-        artifact.overrides.clear();
-    }
-    let fresh = baseline_file_content(&artifacts).expect("serializes");
-    let committed_path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines/smoke-legacy.json");
-    let committed =
-        std::fs::read_to_string(committed_path).expect("committed smoke-legacy.json exists");
-    assert!(
-        fresh == committed,
-        "the legacy link preset no longer reproduces the pre-calibration smoke \
-         baseline byte for byte (first divergence at byte {})",
-        fresh
-            .bytes()
-            .zip(committed.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| fresh.len().min(committed.len()))
-    );
 }
 
 #[test]

@@ -73,12 +73,6 @@ pub struct EngineConfig {
     /// If `true`, nodes overhear unicast packets addressed to other nodes
     /// (needed for the paper's snooping-based link estimation).
     pub enable_snooping: bool,
-    /// Number of region shards for the event queue: nodes are partitioned
-    /// into this many contiguous id ranges, each with its own heap, merged
-    /// deterministically on pop. Any value produces byte-identical results
-    /// (see the [`event`](crate::event) module docs); values above the node
-    /// count are clamped. Default 1 — the classic single global queue.
-    pub num_shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -88,7 +82,6 @@ impl Default for EngineConfig {
             max_unicast_retries: 3,
             tx_slot: SimDuration::from_millis(30),
             enable_snooping: true,
-            num_shards: 1,
         }
     }
 }
@@ -225,23 +218,21 @@ impl<L: NodeLogic> Engine<L> {
             ));
         }
         let n = topology.len();
-        let num_shards = config.num_shards.clamp(1, n);
-        let nodes_per_shard = n.div_ceil(num_shards);
-        // Pre-size each shard by expected in-flight event density, not a
+        // Pre-size the queue by expected in-flight event density, not a
         // blanket multiple of the node count: steady state carries a few
         // pending events per node (timers plus arrivals in flight), so a
-        // handful of slots per region node covers warm-up for typical runs
-        // while the heap still grows on demand for denser workloads —
-        // capacity is recycled across `run_until` calls and plateaus either
-        // way (asserted by the zero-allocation gate). The cap keeps a
-        // 32k-node single-shard engine from reserving a ~524k-slot heap up
-        // front like the old `16 * n` rule did.
-        let cap_per_shard = (4 * nodes_per_shard + 64).min(16_384);
+        // handful of slots per node covers warm-up for typical runs while
+        // the heap still grows on demand for denser workloads — capacity is
+        // recycled across `run_until` calls and plateaus either way
+        // (asserted by the zero-allocation gate). The cap keeps a 32k-node
+        // engine from reserving a ~524k-slot heap up front like the old
+        // `16 * n` rule did.
+        let queue_cap = (4 * n + 64).min(16_384);
         Ok(Engine {
             topology,
             links,
             nodes,
-            queue: EventQueue::sharded(num_shards, nodes_per_shard, cap_per_shard),
+            queue: EventQueue::with_capacity(queue_cap),
             now: SimTime::ZERO,
             stats: NetworkStats::new(n),
             seqnos: vec![SeqNo::default(); n],
@@ -296,17 +287,11 @@ impl<L: NodeLogic> Engine<L> {
         self.events_processed
     }
 
-    /// Current allocated capacity of the event queue (diagnostics) — summed
-    /// over all region shards. Once the simulation reaches steady state this
-    /// must stop growing: each shard's backing storage is recycled across
-    /// `run_until` calls.
+    /// Current allocated capacity of the event queue (diagnostics). Once the
+    /// simulation reaches steady state this must stop growing: the heap's
+    /// backing storage is recycled across `run_until` calls.
     pub fn queue_capacity(&self) -> usize {
         self.queue.capacity()
-    }
-
-    /// Number of region shards the event queue runs with (diagnostics).
-    pub fn queue_shards(&self) -> usize {
-        self.queue.num_shards()
     }
 
     /// Current allocated capacity of the reusable command buffer
@@ -370,10 +355,9 @@ impl<L: NodeLogic> Engine<L> {
     /// `scoop-serve` front end) uses to make its stimulus part of the run.
     ///
     /// The event is an ordinary [`Event::TimerFire`] pushed through the same
-    /// (sharded) queue as node-armed timers, so it participates in the
-    /// deterministic merge order like any internal event: a run with injected
-    /// timers is byte-identical at any shard count, and two runs injecting
-    /// the same `(at, node, token)` sequence dispatch identically. Times in
+    /// queue as node-armed timers, so it takes part in the deterministic
+    /// `(time, seq)` order like any internal event: two runs injecting the
+    /// same `(at, node, token)` sequence dispatch identically. Times in
     /// the past are clamped to `now` (the queue never travels backwards).
     pub fn inject_timer(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
         let at = if at > self.now { at } else { self.now };
@@ -635,6 +619,7 @@ mod tests {
     use super::*;
     use crate::link::LinkModel;
     use crate::topology::Topology;
+    use scoop_types::LinkSpec;
 
     /// A tiny test application: node 0 periodically broadcasts a counter;
     /// every other node forwards any number it has not seen to its lower
@@ -781,7 +766,7 @@ mod tests {
     fn deterministic_given_same_seed() {
         let run = |seed: u64| {
             let topo = Topology::office_floor(20, 3).unwrap();
-            let links = LinkModel::from_topology(&topo, 3);
+            let links = LinkModel::from_spec(&LinkSpec::default(), &topo, 3).unwrap();
             let nodes = (0..topo.len()).map(|_| TestApp::default()).collect();
             let mut eng = Engine::new(
                 topo,

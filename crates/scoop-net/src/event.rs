@@ -1,22 +1,7 @@
-//! The discrete-event queue, optionally sharded by node region.
+//! The discrete-event queue.
 //!
 //! Events are ordered by simulated time; ties are broken by insertion order
 //! so the simulation is fully deterministic.
-//!
-//! # Sharding
-//!
-//! The queue can be partitioned into per-region shards: contiguous node-id
-//! ranges each backed by their own binary heap, with events routed to the
-//! shard of their destination node. Popping takes the minimum across shard
-//! heads ordered by `(time, seq, shard)`. Because `seq` is a *global*
-//! insertion counter shared by all shards, every event has a unique
-//! `(time, seq)` key, and the cross-shard minimum is exactly the element a
-//! single merged heap would pop — so sharded execution is byte-identical to
-//! the sequential single-queue loop, shard count be what it may. (The shard
-//! index in the ordering key is the documented tie-breaker, but it is never
-//! reached: global `seq` uniqueness decides every tie first.) The win on one
-//! core is memory locality — each region's pending events stay in a compact
-//! heap sized to the region, not interleaved across the whole deployment.
 
 use crate::packet::Packet;
 use scoop_types::{NodeId, SimTime};
@@ -93,105 +78,59 @@ impl<P> Ord for QueueEntry<P> {
     }
 }
 
-/// A time-ordered queue of pending events, sharded by destination region.
+/// A time-ordered queue of pending events: one binary heap keyed by
+/// `(time, seq)`, where `seq` is the insertion counter.
 pub struct EventQueue<P> {
-    /// One heap per contiguous node-id region. A single-shard queue is the
-    /// classic global heap.
-    shards: Vec<BinaryHeap<QueueEntry<P>>>,
-    /// Width of each region: events for node `i` route to shard
-    /// `i / nodes_per_shard` (clamped to the last shard).
-    nodes_per_shard: usize,
-    /// Global insertion counter shared by every shard — the key to the
-    /// byte-identity argument in the module docs.
+    heap: BinaryHeap<QueueEntry<P>>,
     next_seq: u64,
 }
 
 impl<P> EventQueue<P> {
-    /// An empty single-shard queue.
+    /// An empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// An empty single-shard queue with room for `cap` events before
-    /// reallocating. The backing storage only ever grows, so capacity
-    /// established during warm-up is recycled across the whole simulation.
+    /// An empty queue with room for `cap` events before reallocating. The
+    /// backing storage only ever grows, so capacity established during
+    /// warm-up is recycled across the whole simulation.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::sharded(1, usize::MAX, cap)
-    }
-
-    /// An empty queue with `num_shards` region shards of `nodes_per_shard`
-    /// consecutive node ids each, every shard pre-sized to `cap_per_shard`.
-    pub fn sharded(num_shards: usize, nodes_per_shard: usize, cap_per_shard: usize) -> Self {
-        let num_shards = num_shards.max(1);
         EventQueue {
-            shards: (0..num_shards)
-                .map(|_| BinaryHeap::with_capacity(cap_per_shard))
-                .collect(),
-            nodes_per_shard: nodes_per_shard.max(1),
+            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
         }
     }
 
-    /// Number of region shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, event: &Event<P>) -> usize {
-        (event.node().index() / self.nodes_per_shard).min(self.shards.len() - 1)
-    }
-
-    /// Total number of events the shards can hold without reallocating.
+    /// Number of events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::capacity).sum()
+        self.heap.capacity()
     }
 
     /// Schedules `event` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, event: Event<P>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let shard = self.shard_of(&event);
-        self.shards[shard].push(QueueEntry { time, seq, event });
-    }
-
-    /// The shard holding the globally earliest event, by `(time, seq,
-    /// shard)`. `seq` is globally unique, so this is exactly the element a
-    /// single merged heap would surface.
-    #[inline]
-    fn earliest_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, heap) in self.shards.iter().enumerate() {
-            if let Some(head) = heap.peek() {
-                let key = (head.time, head.seq, s);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
+        self.heap.push(QueueEntry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, along with its time.
     pub fn pop(&mut self) -> Option<(SimTime, Event<P>)> {
-        let s = self.earliest_shard()?;
-        self.shards[s].pop().map(|e| (e.time, e.event))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest_shard()
-            .and_then(|s| self.shards[s].peek().map(|e| e.time))
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(BinaryHeap::len).sum()
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(BinaryHeap::is_empty)
+        self.heap.is_empty()
     }
 }
 
@@ -273,69 +212,43 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pop_order_matches_single_queue() {
-        // Any shard count must reproduce the single global heap's pop order
-        // exactly — the global `seq` counter makes every (time, seq) key
-        // unique, so the cross-shard minimum is the merged-heap minimum.
-        let mut events = Vec::new();
+    fn interleaved_push_pop_matches_a_sorted_reference() {
+        // Model test: pushes and pops interleave, with many equal times, and
+        // every pop must return the smallest pending `(time, insertion
+        // index)` — exactly what a sorted reference list yields.
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mut reference: Vec<(u64, u32)> = Vec::new();
         let mut state = 0x9e37_79b9_u64;
-        for k in 0..500u32 {
-            // Cheap deterministic pseudo-random times/nodes, many ties.
+        let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let t = SimTime::from_secs((state >> 33) % 17);
-            let node = NodeId(((state >> 17) % 40) as u16);
-            events.push((t, node, k));
-        }
-        let drain = |num_shards: usize| -> Vec<(u64, u32)> {
-            let mut q: EventQueue<()> =
-                EventQueue::sharded(num_shards, 40usize.div_ceil(num_shards), 0);
-            for &(t, node, token) in &events {
-                q.push(t, Event::TimerFire { node, token });
-            }
-            std::iter::from_fn(|| q.pop())
-                .map(|(t, e)| match e {
-                    Event::TimerFire { token, .. } => (t.as_secs(), token),
-                    _ => unreachable!(),
-                })
-                .collect()
+            state >> 33
         };
-        let single = drain(1);
-        assert_eq!(single.len(), events.len());
-        for shards in [2, 3, 4, 7, 64] {
-            assert_eq!(drain(shards), single, "{shards} shards diverged");
+        let mut popped = 0;
+        for token in 0..2000u32 {
+            let t = next() % 17;
+            let node = NodeId((token % 40) as u16);
+            q.push(SimTime::from_secs(t), Event::TimerFire { node, token });
+            reference.push((t, token));
+            reference.sort_unstable();
+            // Zero, one or two pops per push: the queue random-walks, often
+            // back down to empty.
+            for _ in 0..next() % 3 {
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_secs),
+                    reference.first().map(|r| r.0)
+                );
+                let Some((t, Event::TimerFire { token, .. })) = q.pop() else {
+                    assert!(reference.is_empty());
+                    continue;
+                };
+                assert_eq!((t.as_secs(), token), reference.remove(0));
+                popped += 1;
+            }
+            assert_eq!(q.len(), reference.len());
         }
-    }
-
-    #[test]
-    fn sharded_routing_and_interleaved_push_pop() {
-        let mut q: EventQueue<()> = EventQueue::sharded(4, 10, 0);
-        assert_eq!(q.num_shards(), 4);
-        // Nodes beyond the last region clamp into the final shard instead of
-        // panicking.
-        q.push(
-            SimTime::from_secs(1),
-            Event::TimerFire {
-                node: NodeId(999),
-                token: 0,
-            },
-        );
-        q.push(
-            SimTime::from_secs(1),
-            Event::TimerFire {
-                node: NodeId(0),
-                token: 1,
-            },
-        );
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        // Same time → global insertion order decides, across shards.
-        let (_, first) = q.pop().unwrap();
-        assert_eq!(first.node(), NodeId(999));
-        let (_, second) = q.pop().unwrap();
-        assert_eq!(second.node(), NodeId(0));
-        assert!(q.is_empty());
+        assert!(popped > 1000, "the pops must interleave with the pushes");
     }
 
     #[test]

@@ -46,47 +46,6 @@ impl LinkQuality {
     }
 }
 
-/// Parameters controlling how link quality is derived from the topology.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
-pub struct LinkModelParams {
-    /// Delivery probability of a link at (near-)zero distance.
-    pub max_delivery: f64,
-    /// Delivery probability of a link right at the edge of radio range.
-    pub min_delivery: f64,
-    /// Standard deviation of the per-direction noise added to delivery
-    /// probability (produces asymmetry).
-    pub asymmetry_noise: f64,
-    /// Shape of the decay between the two endpoints: delivery falls with
-    /// `(d / range) ^ distance_exponent`; `1.0` is the calibrated linear
-    /// decay.
-    pub distance_exponent: f64,
-}
-
-impl LinkModelParams {
-    /// Translates the serializable [`LinkSpec`] calibration knobs into model
-    /// parameters. This is the only place the mapping lives, so the
-    /// spec-driven path and [`LinkModelParams::default`] cannot drift apart.
-    pub fn from_spec(spec: &LinkSpec) -> Self {
-        LinkModelParams {
-            max_delivery: spec.max_delivery(),
-            min_delivery: spec.edge_delivery,
-            asymmetry_noise: spec.asymmetry_noise,
-            distance_exponent: spec.distance_exponent,
-        }
-    }
-}
-
-impl Default for LinkModelParams {
-    fn default() -> Self {
-        // The *legacy* knobs, deliberately: `LinkModel::from_topology` (and
-        // these params) replay the historical hardcoded model, which is what
-        // the pre-calibration byte-identity proofs compare against. The
-        // shipped calibrated model arrives through the `LinkSpec` path
-        // (`LinkModel::from_spec` with `LinkSpec::default()`).
-        Self::from_spec(&LinkSpec::legacy())
-    }
-}
-
 /// One usable outgoing link in the precomputed neighbor table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Neighbor {
@@ -111,7 +70,6 @@ pub struct Neighbor {
 #[derive(Clone, Debug)]
 pub struct LinkModel {
     n: usize,
-    params: LinkModelParams,
     /// CSR row offsets into `nbr_entries`; `nbr_offsets[i]..nbr_offsets[i+1]`
     /// is transmitter `i`'s slice. Length `n + 1`.
     nbr_offsets: Vec<u32>,
@@ -121,12 +79,8 @@ pub struct LinkModel {
 }
 
 impl LinkModel {
-    /// Derives a link model from a topology with the default parameters.
-    pub fn from_topology(topo: &Topology, seed: u64) -> Self {
-        Self::with_params(topo, seed, LinkModelParams::default())
-    }
-
-    /// Derives a link model from a topology with explicit parameters.
+    /// Derives a distance-decay link model from a topology with the knobs
+    /// of `spec`.
     ///
     /// The CSR table is built directly from the topology's neighbor lists.
     /// Those lists are exactly the in-range destinations in ascending order —
@@ -134,7 +88,9 @@ impl LinkModel {
     /// visited — so the two noise draws per directed in-range pair consume
     /// the seeded RNG stream identically and every probability is
     /// bit-identical to the dense-matrix era.
-    pub fn with_params(topo: &Topology, seed: u64, params: LinkModelParams) -> Self {
+    fn distance_decay(topo: &Topology, seed: u64, spec: &LinkSpec) -> Self {
+        let max_delivery = spec.max_delivery();
+        let min_delivery = spec.edge_delivery;
         let n = topo.len();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11d4_11d4);
         let mut nbr_offsets = Vec::with_capacity(n + 1);
@@ -147,21 +103,20 @@ impl LinkModel {
                 let frac = (d / topo.radio_range()).clamp(0.0, 1.0);
                 // Decay from max_delivery at distance 0 to min_delivery at the
                 // edge of range — linear when the exponent is 1 (the exact
-                // comparison keeps the default bit-identical to the historical
-                // model), shaped by `frac^k` otherwise — plus per-direction
-                // Gaussian-ish noise (two uniform draws averaged keeps the
-                // dependency set small).
-                let shaped = if params.distance_exponent == 1.0 {
+                // comparison keeps linear specs bit-identical to the
+                // historical model), shaped by `frac^k` otherwise — plus
+                // per-direction Gaussian-ish noise (two uniform draws
+                // averaged keeps the dependency set small).
+                let shaped = if spec.distance_exponent == 1.0 {
                     frac
                 } else {
-                    frac.powf(params.distance_exponent)
+                    frac.powf(spec.distance_exponent)
                 };
-                let base =
-                    params.max_delivery - shaped * (params.max_delivery - params.min_delivery);
+                let base = max_delivery - shaped * (max_delivery - min_delivery);
                 let noise: f64 = (rng.gen_range(-1.0..1.0) + rng.gen_range(-1.0..1.0)) / 2.0
-                    * params.asymmetry_noise
+                    * spec.asymmetry_noise
                     * 2.0;
-                let p = (base + noise).clamp(params.min_delivery * 0.5, params.max_delivery);
+                let p = (base + noise).clamp(min_delivery * 0.5, max_delivery);
                 if p > 0.0 {
                     nbr_entries.push(Neighbor {
                         node: b,
@@ -173,7 +128,6 @@ impl LinkModel {
         }
         LinkModel {
             n,
-            params,
             nbr_offsets,
             nbr_entries,
         }
@@ -198,40 +152,6 @@ impl LinkModel {
         }
         LinkModel {
             n,
-            params: LinkModelParams {
-                max_delivery: 1.0,
-                min_delivery: 1.0,
-                asymmetry_noise: 0.0,
-                distance_exponent: 1.0,
-            },
-            nbr_offsets,
-            nbr_entries,
-        }
-    }
-
-    /// Assembles a model from a dense row-major `n × n` delivery matrix —
-    /// the v1 wire schema. Usable entries (`p > 0`, off-diagonal) become CSR
-    /// entries in the same ascending-destination order the dense scan used.
-    fn from_dense(n: usize, delivery: Vec<f64>, params: LinkModelParams) -> Self {
-        debug_assert_eq!(delivery.len(), n * n);
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        let mut nbr_entries = Vec::new();
-        nbr_offsets.push(0u32);
-        for i in 0..n {
-            for j in 0..n {
-                let p = delivery[i * n + j];
-                if i != j && p > 0.0 {
-                    nbr_entries.push(Neighbor {
-                        node: NodeId(j as u16),
-                        delivery_prob: p.clamp(0.0, 1.0),
-                    });
-                }
-            }
-            nbr_offsets.push(nbr_entries.len() as u32);
-        }
-        LinkModel {
-            n,
-            params,
             nbr_offsets,
             nbr_entries,
         }
@@ -247,9 +167,7 @@ impl LinkModel {
     ) -> Result<Self, scoop_types::ScoopError> {
         spec.validate()?;
         Ok(match spec.family {
-            scoop_types::LinkFamily::DistanceDecay => {
-                Self::with_params(topo, seed, LinkModelParams::from_spec(spec))
-            }
+            scoop_types::LinkFamily::DistanceDecay => Self::distance_decay(topo, seed, spec),
             scoop_types::LinkFamily::Perfect => Self::perfect(topo),
         })
     }
@@ -262,11 +180,6 @@ impl LinkModel {
     /// Always false for a constructed model.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// The parameters the model was built with.
-    pub fn params(&self) -> LinkModelParams {
-        self.params
     }
 
     /// The `nbr_entries` range holding transmitter `i`'s row.
@@ -412,103 +325,6 @@ impl LinkModel {
     }
 }
 
-// Hand-written (de)serialization. The v2 wire schema is sparse — `{n,
-// params, offsets, targets, probs}`, the CSR split into parallel arrays — so
-// file size scales with usable links, not n². Deserialization still accepts
-// the historical dense v1 schema `{n, delivery, params}` (detected by its
-// `delivery` key) and converts it through `from_dense`, so every committed
-// artifact and golden file written before the sparse rewrite keeps loading.
-impl Serialize for LinkModel {
-    fn to_value(&self) -> serde::Value {
-        let targets: Vec<u16> = self.nbr_entries.iter().map(|e| e.node.0).collect();
-        let probs: Vec<f64> = self.nbr_entries.iter().map(|e| e.delivery_prob).collect();
-        serde::Value::Object(vec![
-            ("n".to_string(), Serialize::to_value(&self.n)),
-            ("params".to_string(), Serialize::to_value(&self.params)),
-            (
-                "offsets".to_string(),
-                Serialize::to_value(&self.nbr_offsets),
-            ),
-            ("targets".to_string(), Serialize::to_value(&targets)),
-            ("probs".to_string(), Serialize::to_value(&probs)),
-        ])
-    }
-}
-
-impl Deserialize for LinkModel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let null = serde::Value::Null;
-        let n: usize = Deserialize::from_value(v.get("n").unwrap_or(&null))?;
-        let params: LinkModelParams = Deserialize::from_value(v.get("params").unwrap_or(&null))?;
-        if let Some(dense) = v.get("delivery") {
-            // v1 compat: the dense row-major matrix.
-            let delivery: Vec<f64> = Deserialize::from_value(dense)?;
-            if delivery.len() != n * n {
-                return Err(serde::Error::custom(format!(
-                    "LinkModel: delivery matrix has {} entries for n = {n}",
-                    delivery.len()
-                )));
-            }
-            return Ok(LinkModel::from_dense(n, delivery, params));
-        }
-        let nbr_offsets: Vec<u32> = Deserialize::from_value(v.get("offsets").unwrap_or(&null))?;
-        let targets: Vec<u16> = Deserialize::from_value(v.get("targets").unwrap_or(&null))?;
-        let probs: Vec<f64> = Deserialize::from_value(v.get("probs").unwrap_or(&null))?;
-        if nbr_offsets.len() != n + 1 || nbr_offsets.first() != Some(&0) {
-            return Err(serde::Error::custom(format!(
-                "LinkModel: {} offsets for n = {n}",
-                nbr_offsets.len()
-            )));
-        }
-        if targets.len() != probs.len() || *nbr_offsets.last().unwrap() as usize != targets.len() {
-            return Err(serde::Error::custom(
-                "LinkModel: offsets/targets/probs disagree on link count".to_string(),
-            ));
-        }
-        let mut nbr_entries = Vec::with_capacity(targets.len());
-        for i in 0..n {
-            let lo = nbr_offsets[i] as usize;
-            let hi = nbr_offsets[i + 1] as usize;
-            if lo > hi || hi > targets.len() {
-                return Err(serde::Error::custom(format!(
-                    "LinkModel: row {i} offsets are not monotonic"
-                )));
-            }
-            let mut prev: Option<u16> = None;
-            for k in lo..hi {
-                let t = targets[k];
-                let p = probs[k];
-                if (t as usize) >= n || t as usize == i {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} targets node {t} outside the model"
-                    )));
-                }
-                if prev.is_some_and(|pv| pv >= t) {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} destinations are not ascending"
-                    )));
-                }
-                if !(p > 0.0 && p <= 1.0) {
-                    return Err(serde::Error::custom(format!(
-                        "LinkModel: row {i} stores unusable probability {p}"
-                    )));
-                }
-                prev = Some(t);
-                nbr_entries.push(Neighbor {
-                    node: NodeId(t),
-                    delivery_prob: p,
-                });
-            }
-        }
-        Ok(LinkModel {
-            n,
-            params,
-            nbr_offsets,
-            nbr_entries,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,7 +332,7 @@ mod tests {
 
     fn testbed() -> (Topology, LinkModel) {
         let topo = Topology::office_floor(62, 11).unwrap();
-        let links = LinkModel::from_topology(&topo, 11);
+        let links = LinkModel::from_spec(&LinkSpec::default(), &topo, 11).unwrap();
         (topo, links)
     }
 
@@ -605,9 +421,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let topo = Topology::office_floor(20, 5).unwrap();
-        let a = LinkModel::from_topology(&topo, 9);
-        let b = LinkModel::from_topology(&topo, 9);
-        let c = LinkModel::from_topology(&topo, 10);
+        let spec = LinkSpec::default();
+        let a = LinkModel::from_spec(&spec, &topo, 9).unwrap();
+        let b = LinkModel::from_spec(&spec, &topo, 9).unwrap();
+        let c = LinkModel::from_spec(&spec, &topo, 10).unwrap();
         assert_eq!(
             a.link(NodeId(1), NodeId(2)).delivery_prob,
             b.link(NodeId(1), NodeId(2)).delivery_prob
@@ -670,63 +487,6 @@ mod tests {
         links.set_link(NodeId(0), NodeId(1), 0.4); // revive it
         assert_eq!(links.neighbors(NodeId(0)).len(), before);
         assert_eq!(links.neighbors(NodeId(0)), dense_scan(&links, NodeId(0)));
-    }
-
-    #[test]
-    fn serialization_round_trips_and_rebuilds_the_table() {
-        let (_, links) = testbed();
-        let json = serde_json::to_string(&links).unwrap();
-        // The v2 wire schema is the sparse CSR split into parallel arrays —
-        // no dense matrix anywhere in the file.
-        assert!(json.starts_with("{\"n\":"));
-        assert!(json.contains("\"offsets\":"));
-        assert!(!json.contains("\"delivery\":"));
-        let back: LinkModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), links.len());
-        for a in 0..links.len() {
-            let a = NodeId(a as u16);
-            assert_eq!(back.neighbors(a), links.neighbors(a), "{a}");
-        }
-        // A corrupt node count is rejected instead of building a bogus table.
-        let bad = json.replacen("\"n\":63", "\"n\":62", 1);
-        assert!(serde_json::from_str::<LinkModel>(&bad).is_err());
-    }
-
-    #[test]
-    fn deserialization_accepts_the_dense_v1_schema() {
-        // Reconstruct what the pre-sparse code wrote — `{n, delivery,
-        // params}` with a dense row-major matrix — and check it loads into
-        // the same model the sparse schema describes.
-        let (_, links) = testbed();
-        let n = links.len();
-        let mut delivery = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                delivery[i * n + j] = links.link(NodeId(i as u16), NodeId(j as u16)).delivery_prob;
-            }
-        }
-        let v1 = serde::Value::Object(vec![
-            ("n".to_string(), serde::Serialize::to_value(&n)),
-            (
-                "delivery".to_string(),
-                serde::Serialize::to_value(&delivery),
-            ),
-            (
-                "params".to_string(),
-                serde::Serialize::to_value(&links.params()),
-            ),
-        ]);
-        let v1_json = serde_json::to_string(&v1).unwrap();
-        assert!(v1_json.contains("\"delivery\":"));
-        let back: LinkModel = serde_json::from_str(&v1_json).unwrap();
-        assert_eq!(back.len(), links.len());
-        for a in 0..n {
-            let a = NodeId(a as u16);
-            assert_eq!(back.neighbors(a), links.neighbors(a), "{a}");
-        }
-        // The corrupt-length rejection from the v1 era still holds.
-        let bad = v1_json.replacen("\"n\":63", "\"n\":62", 1);
-        assert!(serde_json::from_str::<LinkModel>(&bad).is_err());
     }
 
     #[test]

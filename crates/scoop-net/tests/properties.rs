@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn link_model_probability_bounds(nodes in 4usize..60, seed in 0u64..300) {
         let topo = Topology::office_floor(nodes, seed).expect("topology");
-        let links = LinkModel::from_topology(&topo, seed);
+        let links = LinkModel::from_spec(&LinkSpec::default(), &topo, seed).unwrap();
         for a in topo.nodes() {
             for b in topo.nodes() {
                 let q = links.link(a, b);
@@ -105,7 +105,7 @@ proptest! {
             ..TopologySpec::office_floor()
         };
         let topo = StdTopologyGen.generate(&spec, nodes, seed).expect("within limits");
-        let links = LinkModel::from_topology(&topo, seed);
+        let links = LinkModel::from_spec(&LinkSpec::default(), &topo, seed).unwrap();
         for a in topo.nodes() {
             // The old dense scan, reimplemented verbatim as the oracle.
             let dense: Vec<Neighbor> = (0..links.len())

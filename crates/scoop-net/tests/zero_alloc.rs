@@ -15,7 +15,7 @@
 use scoop_net::{
     Engine, EngineConfig, LinkModel, NodeCtx, NodeLogic, Packet, TimerToken, Topology,
 };
-use scoop_types::{MessageKind, NodeId, SimDuration, SimTime};
+use scoop_types::{LinkSpec, MessageKind, NodeId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,7 +92,7 @@ impl NodeLogic for FloodApp {
 fn steady_state_event_loop_allocates_nothing() {
     let topo = Topology::grid(4, 10.0).expect("grid");
     // Lossy links: the unicast retry loop must actually retry sometimes.
-    let links = LinkModel::from_topology(&topo, 42);
+    let links = LinkModel::from_spec(&LinkSpec::default(), &topo, 42).unwrap();
     let nodes = (0..topo.len()).map(|_| FloodApp::default()).collect();
     let mut engine = Engine::new(topo, links, nodes, EngineConfig::default()).expect("engine");
 

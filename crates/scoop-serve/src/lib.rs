@@ -21,7 +21,7 @@
 //!   provably byte-identical to evaluation (the cache stores encoded
 //!   payloads and invalidates on every tick's new readings).
 //! * [`server`] — the tick loop tying it together. Admitted batches enter
-//!   the region-sharded event loop as ordinary injected events, so the
+//!   the engine's event loop as ordinary injected events, so the
 //!   engine's determinism guarantees extend to the serving tier.
 //! * [`bench`]/[`smoke`] — the load generator (millions of queries over the
 //!   in-memory transport, p50/p99 + qps) and the fixed-seed golden smoke CI

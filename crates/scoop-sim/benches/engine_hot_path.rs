@@ -20,7 +20,8 @@ use scoop_net::{
 };
 use scoop_sim::run_experiment;
 use scoop_types::{
-    DataSourceKind, ExperimentConfig, MessageKind, NodeId, SimDuration, SimTime, StoragePolicy,
+    DataSourceKind, ExperimentConfig, LinkSpec, MessageKind, NodeId, SimDuration, SimTime,
+    StoragePolicy,
 };
 
 /// The same allocation-free traffic shape as the `zero_alloc` gate test:
@@ -61,7 +62,7 @@ impl NodeLogic for FloodApp {
 /// number of events dispatched (the bench divides by wall time afterwards).
 fn run_flood(side: usize, sim_secs: u64) -> u64 {
     let topo = Topology::grid(side, 10.0).expect("grid");
-    let links = LinkModel::from_topology(&topo, 42);
+    let links = LinkModel::from_spec(&LinkSpec::default(), &topo, 42).expect("links");
     let nodes = (0..topo.len()).map(|_| FloodApp::default()).collect();
     let mut engine = Engine::new(topo, links, nodes, EngineConfig::default()).expect("engine");
     engine.run_until(SimTime::from_secs(sim_secs));

@@ -3,9 +3,9 @@
 //! Every function takes a *base* configuration — [`paper_base`] for the real
 //! thing, or [`ExperimentConfig::small_test`](scoop_types::ExperimentConfig::small_test)
 //! for quick checks — plus a trial count, and returns the rows of the
-//! corresponding figure or table. The benchmark harness in `scoop-bench`
-//! calls these and prints the rows; `EXPERIMENTS.md` records the measured
-//! numbers next to the paper's.
+//! corresponding figure or table. `scoop-lab run` calls these and persists
+//! the rows; `EXPERIMENTS.md` records the measured numbers next to the
+//! paper's.
 
 pub mod ablations;
 pub mod chaos;

@@ -1,8 +1,8 @@
 //! Plain-text and JSON rendering of experiment rows.
 //!
-//! The benchmark harness prints these tables so that `cargo bench` output can
-//! be compared line by line with the paper's figures; the same rows are
-//! emitted as JSON for EXPERIMENTS.md bookkeeping.
+//! `scoop-lab run` prints these tables so its output can be compared line by
+//! line with the paper's figures; the same rows are emitted as JSON for
+//! EXPERIMENTS.md bookkeeping.
 
 use crate::experiments::{
     AblationRow, AggregateOpsRow, ChaosRow, Fig3Row, Fig4Row, Fig5Row, LinkCalibrationRow,

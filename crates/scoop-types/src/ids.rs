@@ -220,11 +220,10 @@ impl NodeBitmap {
     }
 }
 
-// Hand-written (de)serialization: the wire schema is the historical derived
-// one — `{"words": [u64, ...]}` — but deserialization must re-establish the
-// no-trailing-zero-words invariant, because bitmaps written by the old
-// fixed-array representation padded with zero words up to the compile-time
-// limit.
+// Hand-written (de)serialization: the wire schema is `{"words": [u64, ...]}`.
+// Deserialization re-establishes the no-trailing-zero-words invariant on
+// input, so equality and hashing stay canonical whatever words a file
+// carries.
 impl Serialize for NodeBitmap {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![(

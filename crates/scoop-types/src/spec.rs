@@ -234,21 +234,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// The original hardcoded distance-decay model (the pre-calibration
-    /// default): linear decay from 78 % delivery at distance 0 to 10 % at
-    /// the range edge. Kept addressable — as this constructor and as the
-    /// `link=legacy` axis preset — so the byte-identity proofs of the
-    /// pre-calibration engine survive the default flip.
-    pub fn legacy() -> Self {
-        LinkSpec {
-            family: LinkFamily::DistanceDecay,
-            loss_floor: 0.22,
-            edge_delivery: 0.10,
-            distance_exponent: 1.0,
-            asymmetry_noise: 0.06,
-        }
-    }
-
     /// The calibrated distance-decay model: the argmin of the committed
     /// `results/calibration.json` grid search against the paper's
     /// reliability prose numbers and Figure 3 cost ratio (see
@@ -1000,8 +985,8 @@ pub const AXES: &[AxisDoc] = &[
     },
     AxisDoc {
         key: "link",
-        doc: "loss-model family or preset: distance|perfect|calibrated|legacy \
-              (presets also set the four knobs)",
+        doc: "loss-model family or preset: distance|perfect|calibrated \
+              (the preset also sets the four knobs)",
     },
     AxisDoc {
         key: "link.loss_floor",
@@ -1256,17 +1241,13 @@ impl ScenarioSpec {
                 self.topology.range_factor = parse_num(key, value, "a multiplier")?
             }
             // `link` accepts either a bare family (keeps the current knobs)
-            // or a named preset that pins family *and* knobs: `calibrated`
-            // is the shipped default, `legacy` the pre-calibration model —
-            // the handle the byte-identity equivalence tests address the old
-            // behavior by.
+            // or the `calibrated` preset, which pins family *and* knobs to
+            // the shipped default.
             "link" => match value {
                 "calibrated" => self.link = LinkSpec::calibrated(),
-                "legacy" => self.link = LinkSpec::legacy(),
                 family => {
-                    self.link.family = LinkFamily::from_name(family).ok_or_else(|| {
-                        bad_value(key, value, "distance|perfect|calibrated|legacy")
-                    })?
+                    self.link.family = LinkFamily::from_name(family)
+                        .ok_or_else(|| bad_value(key, value, "distance|perfect|calibrated"))?
                 }
             },
             "link.loss_floor" => self.link.loss_floor = parse_num(key, value, "a probability")?,
@@ -1808,26 +1789,18 @@ mod tests {
         // The shipped default *is* the calibrated point.
         assert_eq!(LinkSpec::default(), LinkSpec::calibrated());
         assert_eq!(LinkSpec::paper_defaults(), LinkSpec::calibrated());
-        // The legacy preset is the exact pre-calibration model.
-        let legacy = LinkSpec::legacy();
-        assert_eq!(legacy.family, LinkFamily::DistanceDecay);
-        assert!((legacy.loss_floor - 0.22).abs() < 1e-12);
-        assert!((legacy.edge_delivery - 0.10).abs() < 1e-12);
-        assert!((legacy.distance_exponent - 1.0).abs() < 1e-12);
-        assert!((legacy.asymmetry_noise - 0.06).abs() < 1e-12);
-        legacy.validate().unwrap();
         LinkSpec::calibrated().validate().unwrap();
 
-        // Axis presets set the whole link spec; bare families keep the knobs.
+        // The preset sets the whole link spec; bare families keep the knobs.
         let mut spec = ScenarioSpec::paper_defaults();
-        spec.set_axis("link", "legacy").unwrap();
-        assert_eq!(spec.link, LinkSpec::legacy());
+        spec.set_axis("link.loss_floor", "0.3").unwrap();
         spec.set_axis("link", "calibrated").unwrap();
         assert_eq!(spec.link, LinkSpec::calibrated());
         spec.set_axis("link.loss_floor", "0.4").unwrap();
         spec.set_axis("link", "perfect").unwrap();
         assert_eq!(spec.link.family, LinkFamily::Perfect);
         assert!((spec.link.loss_floor - 0.4).abs() < 1e-12);
+        assert!(spec.set_axis("link", "legacy").is_err());
     }
 
     #[test]
